@@ -133,7 +133,8 @@ class KMeansPlusPlus:
         labels = _assign(points, centroids)
         converged = False
         iteration = 0
-        for _iteration in range(1, self.max_iterations + 1):
+        while iteration < self.max_iterations:
+            iteration += 1
             new_centroids = centroids.copy()
             for k in range(self.num_clusters):
                 members = points[labels == k]

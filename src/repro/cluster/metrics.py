@@ -38,32 +38,42 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
 
     Returns 0.0 when there is a single cluster (the coefficient is undefined
     there); returns values in ``[-1, 1]`` otherwise.  Singleton clusters get
-    a silhouette of 0 for their lone member, following scikit-learn.
+    a silhouette of 0 for their lone member, following scikit-learn, and so
+    does a point whose mean intra- and nearest-cluster distances are both 0.
+
+    Exactness contract: the score is bit-identical to the per-point
+    definition, which sums ``distances[i, labels == c]`` for every point
+    ``i`` and cluster ``c``.  Each cluster's columns are gathered once into
+    a C-contiguous ``(n, size)`` block, and every row of that block is
+    reduced with its own ``row.sum()``: the same values, in the same order,
+    through the same NumPy call as the per-point form (whose ``.mean()`` is
+    that sum divided by the member count).  A single
+    ``distances[:, mask].sum(axis=1)`` is not used: that block is laid out
+    column-major, and its axis reduction adds the values in another order,
+    which moves the last bit of most sums and so could flip a DDQN reward.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
-    unique = np.unique(labels)
+    unique, own = np.unique(labels, return_inverse=True)
     if unique.shape[0] < 2:
         return 0.0
     distances = pairwise_euclidean(points)
     n = points.shape[0]
+    counts = np.bincount(own)
+    # sums[i, c]: summed distance from point i to the members of cluster c.
+    sums = np.empty((n, unique.shape[0]), dtype=np.float64)
+    for column, cluster in enumerate(unique):
+        block = distances.compress(labels == cluster, axis=1)
+        sums[:, column] = [row.sum() for row in block]
+    rows = np.arange(n)
+    own_count = counts[own]
+    a = sums[rows, own] / np.maximum(own_count - 1, 1)
+    means = sums / counts
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
     scores = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_count = int(own_mask.sum())
-        if own_count <= 1:
-            scores[i] = 0.0
-            continue
-        a = distances[i, own_mask].sum() / (own_count - 1)
-        b = np.inf
-        for other in unique:
-            if other == own:
-                continue
-            other_mask = labels == other
-            b = min(b, float(distances[i, other_mask].mean()))
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    np.divide(b - a, denom, out=scores, where=(own_count > 1) & (denom != 0))
     return float(scores.mean())
 
 

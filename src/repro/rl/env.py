@@ -22,8 +22,8 @@ problem:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,88 @@ class Environment:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
+class SnapshotSummary:
+    """The part of the grouping state that depends on the snapshot alone.
+
+    Only ``previous_k`` and ``previous_quality`` change from step to step,
+    so an environment that replays a snapshot can keep its summary and
+    assemble each state with :func:`state_from_summary`.
+    """
+
+    num_users: int
+    dim: int
+    spread: float
+    mean_distance: float
+    min_distance: float
+    max_distance: float
+
+
+def _upper_pairwise_distances(features: np.ndarray) -> np.ndarray:
+    """Distances ``|f_i - f_j|`` for ``i < j``, in row-major order.
+
+    Rows are written one at a time into a single ``n(n-1)/2`` buffer, so no
+    ``n x n x d`` difference tensor is ever allocated.  Each entry is the
+    same expression, reduced over the same contiguous last axis, as the
+    upper triangle of the broadcast ``features[:, None] - features[None]``
+    form, so the values match it bit for bit.
+    """
+    num_users = features.shape[0]
+    upper = np.empty(num_users * (num_users - 1) // 2, dtype=np.float64)
+    start = 0
+    for i in range(num_users - 1):
+        stop = start + num_users - 1 - i
+        upper[start:stop] = np.sqrt(((features[i] - features[i + 1 :]) ** 2).sum(-1))
+        start = stop
+    return upper
+
+
+def snapshot_summary(features: np.ndarray) -> SnapshotSummary:
+    """Summarise a feature snapshot: user count, spread and pairwise distances.
+
+    This is the ``O(n^2 d)`` part of :func:`grouping_state`; its memory is
+    one ``n(n-1)/2`` buffer (see :func:`_upper_pairwise_distances`).
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    num_users, dim = features.shape
+    if num_users == 0:
+        return SnapshotSummary(0, dim, 0.0, 0.0, 0.0, 0.0)
+    centred = features - features.mean(axis=0, keepdims=True)
+    spread = float(np.sqrt((centred**2).sum(axis=1)).mean())
+    if num_users > 1:
+        upper = _upper_pairwise_distances(features)
+        mean_dist = float(upper.mean())
+        min_dist = float(upper.min())
+        max_dist = float(upper.max())
+    else:
+        mean_dist = min_dist = max_dist = 0.0
+    return SnapshotSummary(num_users, dim, spread, mean_dist, min_dist, max_dist)
+
+
+def state_from_summary(
+    summary: SnapshotSummary,
+    previous_k: int,
+    previous_quality: float,
+    max_groups: int,
+) -> np.ndarray:
+    """Assemble the state vector of :func:`grouping_state` from a summary."""
+    if summary.num_users == 0:
+        return np.zeros(STATE_DIM)
+    return np.array(
+        [
+            summary.num_users / 100.0,
+            summary.spread,
+            summary.mean_distance,
+            summary.min_distance,
+            summary.max_distance,
+            previous_k / max(max_groups, 1),
+            previous_quality,
+            summary.dim / 64.0,
+        ],
+        dtype=np.float64,
+    )
+
+
 def grouping_state(
     features: np.ndarray,
     previous_k: int,
@@ -78,34 +160,18 @@ def grouping_state(
         Silhouette score obtained with ``previous_k`` (0 if none yet).
     max_groups:
         Upper bound of the action space, used for normalisation.
+
+    Exactness contract: the state is bit-identical to the broadcast form
+    that materialises the ``n x n x d`` difference tensor and takes the
+    mean/min/max of its upper triangle.  Each pairwise distance reduces the
+    same ``d`` squared differences over a contiguous last axis, and the
+    ``n(n-1)/2`` distances are reduced in the same row-major order, so
+    :meth:`numpy.ndarray.mean` adds them in the same pairwise order.  A
+    reduction over a non-contiguous axis (a column-major block summed with
+    ``sum(axis=1)``, say) adds in another order and moves last bits.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    num_users = features.shape[0]
-    if num_users == 0:
-        return np.zeros(STATE_DIM)
-    centred = features - features.mean(axis=0, keepdims=True)
-    spread = float(np.sqrt((centred**2).sum(axis=1)).mean())
-    if num_users > 1:
-        diffs = features[:, None, :] - features[None, :, :]
-        distances = np.sqrt((diffs**2).sum(axis=-1))
-        upper = distances[np.triu_indices(num_users, k=1)]
-        mean_dist = float(upper.mean())
-        min_dist = float(upper.min())
-        max_dist = float(upper.max())
-    else:
-        mean_dist = min_dist = max_dist = 0.0
-    return np.array(
-        [
-            num_users / 100.0,
-            spread,
-            mean_dist,
-            min_dist,
-            max_dist,
-            previous_k / max(max_groups, 1),
-            previous_quality,
-            features.shape[1] / 64.0,
-        ],
-        dtype=np.float64,
+    return state_from_summary(
+        snapshot_summary(features), previous_k, previous_quality, max_groups
     )
 
 
@@ -243,32 +309,42 @@ class GroupingEnvironment(Environment):
         return float(reward), float(quality)
 
 
-@dataclass
-class SnapshotReplayEnvironment(Environment):
+class SnapshotReplayEnvironment(GroupingEnvironment):
     """Grouping environment that replays a fixed list of feature snapshots.
 
     Useful for training the DDQN on the exact user populations observed by
     the digital-twin manager rather than on synthetic snapshots.
+
+    The snapshots are treated as read-only.  Each snapshot's
+    :class:`SnapshotSummary` is computed the first time the snapshot is
+    shown and kept per snapshot index, so the cache never holds more than
+    ``len(snapshots)`` summaries; each step's state is assembled from the
+    cached summary and is equal to a fresh :func:`grouping_state` call.
     """
 
-    snapshots: Sequence[np.ndarray]
-    config: GroupingEnvConfig = field(default_factory=GroupingEnvConfig)
-
-    def __post_init__(self) -> None:
-        if not len(self.snapshots):
+    def __init__(
+        self,
+        snapshots: Sequence[np.ndarray],
+        config: Optional[GroupingEnvConfig] = None,
+    ) -> None:
+        if not len(snapshots):
             raise ValueError("snapshots must not be empty")
-        self.state_dim = STATE_DIM
-        self.num_actions = self.config.num_actions
+        self.snapshots = snapshots
         self._cursor = 0
-        self._inner = GroupingEnvironment(self.config, feature_provider=self._next_snapshot)
+        self._index = 0
+        self._summaries: List[Optional[SnapshotSummary]] = [None] * len(snapshots)
+        super().__init__(config, feature_provider=self._next_snapshot)
 
     def _next_snapshot(self, rng: np.random.Generator) -> np.ndarray:
-        snapshot = np.asarray(self.snapshots[self._cursor % len(self.snapshots)])
+        self._index = self._cursor % len(self.snapshots)
         self._cursor += 1
-        return snapshot
+        return np.asarray(self.snapshots[self._index])
 
-    def reset(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        return self._inner.reset(rng)
-
-    def step(self, action: int) -> StepResult:
-        return self._inner.step(action)
+    def _current_state(self) -> np.ndarray:
+        summary = self._summaries[self._index]
+        if summary is None:
+            summary = snapshot_summary(self._features)
+            self._summaries[self._index] = summary
+        return state_from_summary(
+            summary, self._previous_k, self._previous_quality, self.config.max_groups
+        )

@@ -83,6 +83,83 @@ class TestSilhouetteAndDaviesBouldin:
         assert davies_bouldin_index(points, labels) < davies_bouldin_index(points, shuffled)
 
 
+def _per_point_silhouette(points, labels):
+    """The per-point silhouette definition that ``silhouette_score`` must reproduce bit for bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    labels = np.asarray(labels, dtype=int)
+    unique = np.unique(labels)
+    if unique.shape[0] < 2:
+        return 0.0
+    distances = pairwise_euclidean(points)
+    n = points.shape[0]
+    scores = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        own = labels[i]
+        own_mask = labels == own
+        own_count = int(own_mask.sum())
+        if own_count <= 1:
+            scores[i] = 0.0
+            continue
+        a = distances[i, own_mask].sum() / (own_count - 1)
+        b = np.inf
+        for other in unique:
+            if other == own:
+                continue
+            other_mask = labels == other
+            b = min(b, float(distances[i, other_mask].mean()))
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+#: Non-contiguous (and negative) cluster ids.
+_LABEL_IDS = np.array([-4, 0, 3, 9, 10, 27, 64, 1000])
+
+
+def _silhouette_cases():
+    """``(name, points, labels)`` covering sizes on both sides of NumPy's
+    8-wide unrolled and 128-wide blocked summation, 1-10 dimensions and the
+    singleton, ``denom == 0`` and single-cluster rules."""
+    rng = np.random.default_rng(20231)
+    cases = []
+    for n in (2, 3, 7, 8, 9, 16, 31, 64, 127, 129, 200, 257, 500):
+        d = int(rng.integers(1, 11))
+        k = int(rng.integers(2, min(n, len(_LABEL_IDS)) + 1))
+        ids = rng.choice(_LABEL_IDS, size=k, replace=False)
+        points = rng.normal(0.0, rng.uniform(0.1, 50.0), size=(n, d))
+        cases.append((f"random-n{n}-d{d}-k{k}", points, rng.choice(ids, size=n)))
+    for n in (5, 40, 300):
+        d = int(rng.integers(1, 11))
+        points = rng.normal(size=(n, d))
+        labels = rng.choice(_LABEL_IDS[1:4], size=n)
+        labels[int(rng.integers(n))] = _LABEL_IDS[0]
+        cases.append((f"singleton-n{n}-d{d}", points, labels))
+    for n in (12, 60, 450):
+        # A third of the points sit on one integer-valued location (so their
+        # distances are exactly 0) and make up two clusters of their own:
+        # for each of them the intra- and nearest-cluster means are both 0.
+        d = int(rng.integers(1, 11))
+        points = rng.normal(size=(n, d))
+        third = n // 3
+        points[:third] = rng.integers(-3, 4, size=d)
+        labels = rng.choice(_LABEL_IDS[2:5], size=n)
+        labels[:third] = np.where(np.arange(third) % 2 == 0, _LABEL_IDS[0], _LABEL_IDS[1])
+        cases.append((f"duplicates-n{n}-d{d}", points, labels))
+    for n in (2, 50):
+        points = rng.normal(size=(n, 3))
+        cases.append((f"single-cluster-n{n}", points, np.full(n, _LABEL_IDS[3])))
+    return cases
+
+
+class TestSilhouetteExactness:
+    @pytest.mark.parametrize(
+        "points,labels",
+        [pytest.param(points, labels, id=name) for name, points, labels in _silhouette_cases()],
+    )
+    def test_equals_per_point_definition(self, points, labels):
+        assert silhouette_score(points, labels) == _per_point_silhouette(points, labels)
+
+
 class TestKMeansPlusPlus:
     def test_recovers_blobs(self, three_blobs, rng):
         points, labels = three_blobs
@@ -119,6 +196,22 @@ class TestKMeansPlusPlus:
             KMeansPlusPlus(0)
         with pytest.raises(ValueError):
             KMeansPlusPlus(2, max_iterations=0)
+
+    def test_reports_the_lloyd_iterations_it_ran(self, three_blobs):
+        points, _ = three_blobs
+        for seed in range(5):
+            result = KMeansPlusPlus(3, restarts=2).fit(points, rng=np.random.default_rng(seed))
+            assert 1 <= result.iterations <= 100
+            if result.converged:
+                assert result.iterations < 100
+
+    def test_iterations_capped_without_convergence(self, rng):
+        points = rng.normal(size=(200, 2))
+        result = KMeansPlusPlus(8, max_iterations=1, tolerance=0.0, restarts=1).fit(
+            points, rng=rng
+        )
+        assert result.iterations == 1
+        assert not result.converged
 
     def test_seeding_returns_distinct_centroids_for_blobs(self, three_blobs, rng):
         points, _ = three_blobs

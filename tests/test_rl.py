@@ -21,6 +21,7 @@ from repro.rl import (
     grouping_state,
     train_agent,
 )
+from repro.rl import env as env_module
 from repro.rl.env import STATE_DIM
 
 
@@ -243,6 +244,147 @@ class TestGroupingEnvironment:
         assert state.shape == (STATE_DIM,)
         outcome = env.step(0)
         assert np.isfinite(outcome.reward)
+
+
+def _broadcast_upper_distances(features):
+    """Upper-triangle distances via the full ``n x n x d`` difference tensor."""
+    diffs = features[:, None, :] - features[None, :, :]
+    distances = np.sqrt((diffs**2).sum(axis=-1))
+    return distances[np.triu_indices(features.shape[0], k=1)]
+
+
+def _broadcast_grouping_state(features, previous_k, previous_quality, max_groups):
+    """The ``n x n x d`` form ``grouping_state`` must reproduce bit for bit."""
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    num_users = features.shape[0]
+    if num_users == 0:
+        return np.zeros(STATE_DIM)
+    centred = features - features.mean(axis=0, keepdims=True)
+    spread = float(np.sqrt((centred**2).sum(axis=1)).mean())
+    if num_users > 1:
+        upper = _broadcast_upper_distances(features)
+        mean_dist, min_dist, max_dist = float(upper.mean()), float(upper.min()), float(upper.max())
+    else:
+        mean_dist = min_dist = max_dist = 0.0
+    return np.array(
+        [
+            num_users / 100.0,
+            spread,
+            mean_dist,
+            min_dist,
+            max_dist,
+            previous_k / max(max_groups, 1),
+            previous_quality,
+            features.shape[1] / 64.0,
+        ],
+        dtype=np.float64,
+    )
+
+
+class TestGroupingStateExactness:
+    @pytest.mark.parametrize("num_users", [1, 2, 3, 9, 17, 130])
+    @pytest.mark.parametrize("dim", [1, 3, 8, 13])
+    def test_row_buffer_equals_broadcast_form(self, num_users, dim):
+        features = np.random.default_rng(num_users * 100 + dim).normal(0.0, 4.0, size=(num_users, dim))
+        upper = env_module._upper_pairwise_distances(features)
+        assert np.array_equal(upper, _broadcast_upper_distances(features))
+        for previous in ((0, 0.0), (5, 0.375)):
+            assert np.array_equal(
+                grouping_state(features, *previous, 8),
+                _broadcast_grouping_state(features, *previous, 8),
+            )
+
+    def test_empty_snapshot_state_is_zero(self):
+        assert np.array_equal(grouping_state(np.zeros((0, 4)), 3, 0.5, 8), np.zeros(STATE_DIM))
+
+
+class _StateCheckingEnvironment(Environment):
+    """Delegates to a replay environment and checks every state it returns
+    against a fresh :func:`grouping_state` of the snapshot on show."""
+
+    def __init__(self, env: SnapshotReplayEnvironment) -> None:
+        self.env = env
+        self.state_dim = env.state_dim
+        self.num_actions = env.num_actions
+        self.checked = 0
+
+    def _check(self, state):
+        env = self.env
+        expected = grouping_state(
+            env._features, env._previous_k, env._previous_quality, env.config.max_groups
+        )
+        assert np.array_equal(state, expected)
+        self.checked += 1
+
+    def reset(self, rng=None):
+        state = self.env.reset(rng)
+        self._check(state)
+        return state
+
+    def step(self, action):
+        outcome = self.env.step(action)
+        self._check(outcome.state)
+        return outcome
+
+
+def _replay_snapshots():
+    rng = np.random.default_rng(11)
+    return [rng.normal(size=(n, 6)) for n in (12, 30, 9)]
+
+
+def _small_grouping_agent(config):
+    return DDQNAgent(
+        DDQNConfig(
+            state_dim=STATE_DIM,
+            num_actions=config.num_actions,
+            hidden_sizes=(16,),
+            batch_size=8,
+            min_replay_size=8,
+            seed=0,
+        )
+    )
+
+
+class TestSnapshotReplayCache:
+    def test_every_state_equals_fresh_grouping_state(self):
+        config = GroupingEnvConfig(max_groups=6, episode_length=5, seed=2)
+        checker = _StateCheckingEnvironment(
+            SnapshotReplayEnvironment(snapshots=_replay_snapshots(), config=config)
+        )
+        train_agent(_small_grouping_agent(config), checker, episodes=4, rng=np.random.default_rng(0))
+        assert checker.checked == 4 * (1 + config.episode_length)
+
+    def test_summary_computed_once_per_snapshot(self, monkeypatch):
+        summarised = []
+        original = env_module.snapshot_summary
+
+        def counting(features):
+            summarised.append(features.shape[0])
+            return original(features)
+
+        monkeypatch.setattr(env_module, "snapshot_summary", counting)
+        snapshots = _replay_snapshots()
+        config = GroupingEnvConfig(max_groups=6, episode_length=5, seed=2)
+        env = SnapshotReplayEnvironment(snapshots=snapshots, config=config)
+        result = train_agent(_small_grouping_agent(config), env, episodes=4, rng=np.random.default_rng(0))
+        assert sum(result.episode_lengths) == 20
+        assert sorted(summarised) == sorted(snapshot.shape[0] for snapshot in snapshots)
+
+    def test_replay_matches_synthetic_environment_on_the_same_snapshots(self):
+        snapshots = _replay_snapshots()
+        config = GroupingEnvConfig(max_groups=6, episode_length=4, seed=5)
+        cursor = iter(snapshots * 10)
+        synthetic = GroupingEnvironment(config, feature_provider=lambda _rng: next(cursor))
+        replay = SnapshotReplayEnvironment(snapshots=snapshots, config=config)
+        for env in (synthetic, replay):
+            env.reset(np.random.default_rng(3))
+        for action in (0, 3, 1, 4, 2, 2):
+            a, b = synthetic.step(action), replay.step(action)
+            assert np.array_equal(a.state, b.state)
+            assert (a.reward, a.done, a.info) == (b.reward, b.done, b.info)
+            if a.done:
+                for env in (synthetic, replay):
+                    env.reset(np.random.default_rng(3))
 
 
 class TestTrainingLoop:
