@@ -12,15 +12,13 @@ the shared generator in exactly the scalar order).  The legacy twin stores
 remain array-backed; store appends are a negligible share of interval cost,
 so the comparison is conservative.
 
-PR 3 adds two comparisons of the **batched interval engine** under a
+PR 3 adds a comparison of the **batched interval engine** under a
 multicast grouping (users/10 groups, the pipeline's shape):
-
-* ``channel_draw_mode="fast"`` (one SNR tensor per base station per interval
-  plus whole-array watch-duration draws) against ``"compat"`` — the PR 2
-  sequential per-group path, which is preserved bit-for-bit — at 100 and 500
-  users, and
-* the incremental twin feature cache against full recomputes over the
-  prediction pipeline's sliding feature-tensor windows.
+``channel_draw_mode="fast"`` (one SNR tensor per base station per interval
+plus whole-array watch-duration draws) against ``"compat"`` — the PR 2
+sequential per-group path, which is preserved bit-for-bit — at 100 and 500
+users.  (Its twin feature-cache comparison went with the cache; the
+feature-cache records in the committed results are that history.)
 
 PR 4 adds the **worker sweep** over the grouped engine
 (``channel_draw_mode="grouped"`` + ``playback_workers``): per-interval wall
@@ -562,60 +560,6 @@ def large_population_experiment(
     return sweep
 
 
-def feature_cache_experiment(records: List[dict], users: int = COMPARISON_USERS,
-                             intervals: int = 8, history: int = 4) -> Dict[str, float]:
-    """Feature-tensor access patterns with vs without the incremental cache.
-
-    Two patterns, against the twins a simulated run produced:
-
-    * ``slide`` — the prediction pipeline's pattern: a fixed-width history
-      window of ``history`` intervals advancing one interval at a time (32
-      grid steps, so the slide stays grid-aligned and only ``32/history``
-      of the rows carry new data), and
-    * ``requery`` — repeated queries of an unchanged window (the documented
-      predict-inspect-then-step flow and analytics re-reads), which the
-      cache serves without touching the stores at all.
-
-    Returns the uncached/cached speedup per pattern.
-    """
-    sim = build_simulator(users, draw_mode="fast")
-    run_multicast_intervals(sim, intervals)
-    interval_s = sim.config.interval_s
-    slide = [
-        ((k - history) * interval_s, k * interval_s)
-        for k in range(history, intervals + 1)
-    ]
-    patterns = {"slide": (slide, True), "requery": ([slide[-1]] * len(slide), False)}
-    speedups: Dict[str, float] = {}
-    for pattern, (windows, reset_between_passes) in patterns.items():
-        timings = {}
-        for cached in (False, True):
-            sim.twins.feature_cache_enabled = cached
-            sim.twins._feature_cache.clear()
-            started = time.perf_counter()
-            for _ in range(5):
-                if reset_between_passes:
-                    sim.twins._feature_cache.clear()
-                for start_s, end_s in windows:
-                    sim.twins.feature_tensor(start_s, end_s, num_steps=32)
-            timings[cached] = time.perf_counter() - started
-        speedups[pattern] = timings[False] / timings[True]
-        records.append(
-            benchmark_record(
-                "scale_population_feature_cache",
-                elapsed_s=timings[True],
-                users=users,
-                intervals=intervals,
-                engine="feature-cache",
-                pattern=pattern,
-                uncached_elapsed_s=timings[False],
-                windows=len(windows),
-                speedup=speedups[pattern],
-            )
-        )
-    return speedups
-
-
 def scale_experiment() -> dict:
     records = []
     summary: dict = {}
@@ -657,7 +601,6 @@ def scale_experiment() -> dict:
         )
     )
     batched_speedups = batched_engine_experiment(records)
-    cache_speedups = feature_cache_experiment(records)
     worker_sweep = playback_workers_experiment(records)
     large_sweep = large_population_experiment(records)
 
@@ -667,7 +610,6 @@ def scale_experiment() -> dict:
         "speedup": speedup,
         "totals_identical": vec_totals == legacy_totals,
         "batched_speedups": batched_speedups,
-        "feature_cache_speedups": cache_speedups,
         "worker_sweep": worker_sweep,
         "large_sweep": large_sweep,
         "json_path": str(path),
@@ -677,8 +619,8 @@ def scale_experiment() -> dict:
 def quick_experiment() -> dict:
     """CI smoke variant: tiny populations, no legacy comparison.
 
-    Exercises the same record format and the batched-engine / feature-cache
-    comparisons so the harness JSON stays covered, but completes in seconds.
+    Exercises the same record format and the batched-engine comparison so
+    the harness JSON stays covered, but completes in seconds.
     Writes ``scale_population_quick.json`` so the committed full record is
     not clobbered by CI runs.
     """
@@ -698,10 +640,6 @@ def quick_experiment() -> dict:
         )
         summary[users] = elapsed
     batched_speedups = batched_engine_experiment(records, populations=(50,), intervals=1)
-    # history=2 keeps the 32-step grid aligned across a 16-row slide, so the
-    # quick record exercises the cache's partial-reuse path, not just
-    # full recomputes.
-    cache_speedups = feature_cache_experiment(records, users=50, intervals=3, history=2)
     # One small 2-worker datapoint so CI exercises the sharded engine and
     # its identical-totals guarantee on every run.
     worker_sweep = playback_workers_experiment(
@@ -715,7 +653,6 @@ def quick_experiment() -> dict:
     return {
         "summary": summary,
         "batched_speedups": batched_speedups,
-        "feature_cache_speedups": cache_speedups,
         "worker_sweep": worker_sweep,
         "json_path": str(path),
     }
@@ -735,8 +672,6 @@ def report(result: dict) -> None:
         )
     for users, value in sorted(result["batched_speedups"].items()):
         print(f"batched engine (fast vs compat, multicast) at {users} users: {value:.2f}x")
-    for pattern, value in sorted(result["feature_cache_speedups"].items()):
-        print(f"incremental feature cache ({pattern} windows): {value:.2f}x")
     if "worker_sweep" in result:
         sweep = result["worker_sweep"]
         print(f"sharded grouped playback ({sweep['cpu_count']} cpu core(s)):")
@@ -773,10 +708,6 @@ def _assertions(result: dict) -> None:
             f"expected >= {MIN_BATCHED_SPEEDUP}x batched-engine speedup at "
             f"{users} users, got {value:.2f}x"
         )
-    assert result["feature_cache_speedups"]["requery"] >= 2.0, (
-        "expected the feature cache to serve unchanged windows >= 2x faster, got "
-        f"{result['feature_cache_speedups']['requery']:.2f}x"
-    )
     sweep = result["worker_sweep"]
     for users, entry in sweep["populations"].items():
         assert entry["totals_identical"], (

@@ -349,9 +349,8 @@ class DTResourcePredictionScheme:
             self.simulator.run_interval(grouping)
             end_s = self.simulator.clock.current_interval * interval_s
             start_s = end_s - interval_s
-            # Fresh one-interval windows: served by the hybrid batched
-            # resample (feature_tensor's default path), which batches every
-            # row the per-user cache cannot prove unchanged.
+            # Fresh one-interval windows, each resampled for the whole
+            # population by feature_tensor's cross-user batched path.
             tensor_started = time.perf_counter()
             tensor = self.simulator.twins.feature_tensor(
                 start_s,

@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from repro.behavior.watching import WatchRecord
 from repro.twin.attributes import AttributeSpec
 from repro.twin.manager import DigitalTwinManager
@@ -49,12 +51,22 @@ def store_to_dict(store: TimeSeriesStore) -> dict:
 
 
 def store_from_dict(data: dict) -> TimeSeriesStore:
+    """Rebuild a store, ring bound included, from :func:`store_to_dict` output.
+
+    This is where snapshot files enter, and ``json`` parses ``NaN`` /
+    ``Infinity``: a non-finite timestamp would slip past the store's
+    non-decreasing check (every comparison with NaN is False) and break its
+    sort order, so it is rejected here.
+    """
     store = TimeSeriesStore(
         dimension=int(data["dimension"]),
         max_samples=data.get("max_samples"),
     )
-    for timestamp, value in zip(data.get("timestamps", []), data.get("values", [])):
-        store.append(float(timestamp), value)
+    timestamps = np.asarray(data.get("timestamps", []), dtype=np.float64)
+    if not np.isfinite(timestamps).all():
+        raise ValueError("twin snapshot holds a non-finite timestamp")
+    if timestamps.size:
+        store.append_batch(timestamps, data.get("values", []))
     return store
 
 
@@ -101,9 +113,13 @@ def twin_from_dict(data: dict) -> UserDigitalTwin:
     twin = UserDigitalTwin(int(data["user_id"]), attributes=attributes)
     for name, store_data in data.get("stores", {}).items():
         restored = store_from_dict(store_data)
-        target = twin.store(name)
-        for timestamp, value in zip(restored.timestamps(), restored.values()):
-            target.append(float(timestamp), value)
+        expected = twin.store(name).dimension
+        if restored.dimension != expected:
+            raise ValueError(
+                f"series {name!r} has dimension {restored.dimension}, "
+                f"its attribute {expected}"
+            )
+        twin._stores[name] = restored
     # Watch records are re-attached directly (the mirrored watching-duration
     # series was already restored above, so bypass record_watch).
     twin._watch_records.extend(
@@ -119,6 +135,7 @@ def manager_to_dict(manager: DigitalTwinManager) -> dict:
         "attributes": {
             name: attribute_to_dict(spec) for name, spec in manager.attributes.items()
         },
+        "max_samples_per_attribute": manager.max_samples_per_attribute,
         "twins": [manager_twin for manager_twin in (
             twin_to_dict(manager.twin(uid)) for uid in manager.user_ids()
         )],
@@ -129,7 +146,10 @@ def manager_from_dict(data: dict) -> DigitalTwinManager:
     attributes = {
         name: attribute_from_dict(spec) for name, spec in data.get("attributes", {}).items()
     }
-    manager = DigitalTwinManager(attributes=attributes or None)
+    manager = DigitalTwinManager(
+        attributes=attributes or None,
+        max_samples_per_attribute=data.get("max_samples_per_attribute"),
+    )
     for twin_data in data.get("twins", []):
         twin = twin_from_dict(twin_data)
         manager._twins[twin.user_id] = twin

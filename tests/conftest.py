@@ -74,3 +74,36 @@ def populated_simulator(tiny_simulator) -> StreamingSimulator:
     grouping = {0: tiny_simulator.user_ids()[:4], 1: tiny_simulator.user_ids()[4:]}
     tiny_simulator.run_interval(grouping)
     return tiny_simulator
+
+
+@pytest.fixture
+def check_feature_tensor():
+    """Assert ``feature_tensor`` equals the stacked per-user matrices, bit for bit.
+
+    The returned callable takes the manager and the ``feature_tensor``
+    arguments, compares the batched tensor with ``np.stack`` of every
+    ``twin(uid).feature_matrix(...)`` (the per-user reference), and returns
+    the tensor for further checks.
+    """
+
+    def check(manager, start_s, end_s, num_steps=32, attribute_order=None, user_ids=None):
+        tensor = manager.feature_tensor(
+            start_s,
+            end_s,
+            num_steps=num_steps,
+            attribute_order=attribute_order,
+            user_ids=user_ids,
+        )
+        ids = list(user_ids) if user_ids is not None else manager.user_ids()
+        reference = np.stack(
+            [
+                manager.twin(uid).feature_matrix(
+                    start_s, end_s, num_steps=num_steps, attribute_order=attribute_order
+                )
+                for uid in ids
+            ]
+        )
+        np.testing.assert_array_equal(tensor, reference)
+        return tensor
+
+    return check

@@ -18,10 +18,9 @@ Covers the tentpole and its satellites:
   scheme accumulates ``predict_s``, and the scenario runner aggregates
   both into ``RunResult.timing`` (a new top-level ``to_dict`` key that
   stays outside the golden digests),
-* hybrid feature tensor: ``feature_tensor(batched=None)`` cooperates
-  with the per-user cache (full hits are served from it; only stale
-  tails go through the batched resample) and stays bit-identical to the
-  per-user and pure-batched paths.
+* feature tensor on a live simulator: the cross-user batched
+  ``feature_tensor`` equals the stacked per-user ``feature_matrix`` on
+  fresh, sliding and repeated windows, and across user churn.
 """
 
 from __future__ import annotations
@@ -306,64 +305,30 @@ class TestStageTiming:
         assert "timing" not in exported["intervals"][0]
 
 
-# ------------------------------------------------- hybrid feature tensor
+# ------------------------------------- feature tensor on a live simulator
 class TestHybridFeatureTensor:
     def _simulator(self, **overrides):
         return StreamingSimulator(
             _config(1, num_users=10, num_intervals=3, **overrides)
         )
 
-    def test_hybrid_matches_per_user_and_batched(self):
-        """All three resampling engines must agree bit-for-bit, on fresh
-        windows (warm-up shape) and sliding windows (cache-hit shape)."""
+    def test_hybrid_matches_per_user_and_batched(self, check_feature_tensor):
+        """Fresh windows (warm-up shape), sliding and repeated windows."""
         with self._simulator() as sim:
             for _ in range(2):
                 sim.run_interval(_grouping(sim.user_ids(), 5))
             windows = [(0.0, 120.0), (30.0, 90.0), (60.0, 120.0), (60.0, 120.0)]
             for start, end in windows:
-                hybrid = sim.twins.feature_tensor(start, end, num_steps=16)
-                per_user = sim.twins.feature_tensor(
-                    start, end, num_steps=16, batched=False
-                )
-                batched = sim.twins.feature_tensor(
-                    start, end, num_steps=16, batched=True
-                )
-                np.testing.assert_array_equal(hybrid, per_user)
-                np.testing.assert_array_equal(hybrid, batched)
+                check_feature_tensor(sim.twins, start, end, num_steps=16)
 
-    def test_hybrid_serves_full_hits_from_cache(self):
-        """A repeated identical window is answered from the per-user cache.
-
-        White-box: poison one user's cached matrix between two identical
-        calls — the second call must return the poisoned values, proving
-        the row came from the cache and not a fresh resample.
-        """
+    def test_hybrid_survives_churn(self, check_feature_tensor):
         with self._simulator() as sim:
             sim.run_interval(_grouping(sim.user_ids(), 5))
-            sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
-            uid = sim.user_ids()[0]
-            sim.twins._feature_cache[uid].matrix[:] = -123.0
-            repeated = sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
-            np.testing.assert_array_equal(repeated[0], -123.0)
-            # Fresh resamples still replace the poison once the window moves.
-            del sim.twins._feature_cache[uid]
-            clean = sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
-            assert not np.any(clean[0] == -123.0) or not np.array_equal(
-                clean[0], repeated[0]
-            )
-
-    def test_hybrid_survives_churn(self):
-        with self._simulator() as sim:
-            sim.run_interval(_grouping(sim.user_ids(), 5))
-            sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
+            check_feature_tensor(sim.twins, 0.0, 60.0, num_steps=16)
             sim.remove_user(sim.user_ids()[2])
-            sim.add_user()  # fresh user: empty stores, no cache entry
+            sim.add_user()  # fresh user: empty stores
             sim.run_interval(_grouping(sim.user_ids(), 5))
-            hybrid = sim.twins.feature_tensor(30.0, 120.0, num_steps=16)
-            per_user = sim.twins.feature_tensor(
-                30.0, 120.0, num_steps=16, batched=False
-            )
-            np.testing.assert_array_equal(hybrid, per_user)
+            check_feature_tensor(sim.twins, 30.0, 120.0, num_steps=16)
 
 
 # ------------------------------------------------------ config validation

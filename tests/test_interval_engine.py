@@ -2,10 +2,11 @@
 
 Covers the three tentpole layers plus their satellites:
 
-* the incremental per-user feature-matrix cache in
-  :class:`~repro.twin.manager.DigitalTwinManager`: exact equivalence with a
-  full recompute across overlapping sliding history windows, invalidation on
-  ``remove_user`` / ``register_user`` and on ring eviction,
+* the population feature tensor of
+  :class:`~repro.twin.manager.DigitalTwinManager`: bit-for-bit equality
+  with the stacked per-user feature matrices across sliding, misaligned and
+  resized history windows, late appends, ring eviction, first samples into
+  empty stores and ``remove_user`` / ``register_user``,
 * the batched playback path (``channel_draw_mode="fast"``): per-station SNR
   tensors and whole-array watch-duration draws, with same-seed determinism
   and bit-for-bit compat-mode equivalence against a sequential (PR 2 style)
@@ -37,17 +38,15 @@ from repro.twin.attributes import (
     standard_attributes,
 )
 from repro.twin.manager import DigitalTwinManager
-from repro.twin.timeseries import TimeSeriesStore
 from repro.video.catalog import CatalogConfig, Video, VideoCatalog
 from repro.video.representations import DEFAULT_LADDER, Representation, RepresentationLadder
 
 
-# ---------------------------------------------------------------- twin cache
-def _filled_manager(num_users: int = 6, cache: bool = True, max_samples=None):
+# ----------------------------------------------------- twin feature windows
+def _filled_manager(num_users: int = 6, max_samples=None):
     manager = DigitalTwinManager(
         attributes=standard_attributes(num_categories=4),
         max_samples_per_attribute=max_samples,
-        feature_cache_enabled=cache,
     )
     manager.register_users(range(num_users))
     return manager
@@ -64,136 +63,87 @@ def _feed_interval(manager: DigitalTwinManager, start_s: float, end_s: float, se
         twin.record_batch(PREFERENCE, [start_s], rng.dirichlet(np.ones(4))[None, :])
 
 
-def _twin_pair(max_samples=None):
-    """Two managers fed identical data: one cached, one recompute-only."""
-    cached = _filled_manager(cache=True, max_samples=max_samples)
-    plain = _filled_manager(cache=False, max_samples=max_samples)
+def _fed_manager(max_samples=None):
+    """A manager fed four 120 s intervals of samples."""
+    manager = _filled_manager(max_samples=max_samples)
     for k in range(4):
-        _feed_interval(cached, k * 120.0, (k + 1) * 120.0, seed=k)
-        _feed_interval(plain, k * 120.0, (k + 1) * 120.0, seed=k)
-    return cached, plain
+        _feed_interval(manager, k * 120.0, (k + 1) * 120.0, seed=k)
+    return manager
 
 
 class TestIncrementalFeatureCache:
-    def test_sliding_windows_match_full_recompute_exactly(self):
-        cached, plain = _twin_pair()
+    """History-window patterns of the prediction pipeline.
+
+    Each case checks ``feature_tensor`` against the per-user
+    ``feature_matrix`` reference (the ``check_feature_tensor`` fixture).
+    """
+
+    def test_sliding_windows_match_full_recompute_exactly(self, check_feature_tensor):
+        manager = _fed_manager()
         # Window of 4 intervals sliding by 1 interval: 32 steps over 480 s
         # gives dt=15 s and an 8-row slide, the pipeline's exact pattern.
         for k in range(4, 9):
             end = (k + 1) * 120.0
-            _feed_interval(cached, end - 120.0, end, seed=k)
-            _feed_interval(plain, end - 120.0, end, seed=k)
-            np.testing.assert_array_equal(
-                cached.feature_tensor(end - 480.0, end, num_steps=32),
-                plain.feature_tensor(end - 480.0, end, num_steps=32),
-            )
+            _feed_interval(manager, end - 120.0, end, seed=k)
+            check_feature_tensor(manager, end - 480.0, end, num_steps=32)
 
-    def test_exact_window_rehit_is_served_from_cache(self):
-        cached, plain = _twin_pair()
-        uid = cached.user_ids()[0]
-        first = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        second = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        # No new samples: the very same cached array comes back.
-        assert second is first
-        np.testing.assert_array_equal(
-            first, plain.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        )
+    def test_mid_window_append_recomputes_affected_rows(self, check_feature_tensor):
+        manager = _fed_manager()
+        uid = manager.user_ids()[0]
+        before = check_feature_tensor(manager, 120.0, 600.0, num_steps=32)
+        # A late sample lands inside the window (t=480): every grid row at
+        # or after it changes, earlier rows do not.
+        manager.twin(uid).record(CHANNEL_CONDITION, 480.0, [99.0])
+        after = check_feature_tensor(manager, 120.0, 600.0, num_steps=32)
+        changed = np.flatnonzero((before != after).any(axis=(0, 2)))
+        np.testing.assert_array_equal(changed, np.arange(24, 32))
 
-    def test_mid_window_append_recomputes_affected_rows(self):
-        cached, plain = _twin_pair()
-        uid = cached.user_ids()[0]
-        cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        # A late sample lands inside the cached window (t=300): every grid
-        # row at or after it must be recomputed, earlier rows reused.
-        for manager in (cached, plain):
-            manager.twin(uid).record(CHANNEL_CONDITION, 480.0, [99.0])
-            manager.twin(uid).store(CHANNEL_CONDITION)._times[-1]  # no-op touch
-        np.testing.assert_array_equal(
-            cached.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-            plain.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-        )
+    def test_misaligned_and_resized_windows_fall_back_correctly(self, check_feature_tensor):
+        manager = _fed_manager()
+        for start, end, steps in [
+            (0.0, 480.0, 32), (7.0, 481.0, 32), (0.0, 480.0, 16), (3.3, 477.7, 31)
+        ]:
+            check_feature_tensor(manager, start, end, num_steps=steps)
 
-    def test_misaligned_and_resized_windows_fall_back_correctly(self):
-        cached, plain = _twin_pair()
-        for window in [(0.0, 480.0, 32), (7.0, 481.0, 32), (0.0, 480.0, 16), (3.3, 477.7, 31)]:
-            start, end, steps = window
-            np.testing.assert_array_equal(
-                cached.feature_tensor(start, end, num_steps=steps),
-                plain.feature_tensor(start, end, num_steps=steps),
-            )
-
-    def test_ring_eviction_invalidates_cache(self):
-        cached, plain = _twin_pair(max_samples=40)
+    def test_ring_eviction_invalidates_cache(self, check_feature_tensor):
+        manager = _fed_manager(max_samples=40)
         for k in range(4, 8):
             end = (k + 1) * 120.0
-            _feed_interval(cached, end - 120.0, end, seed=k)
-            _feed_interval(plain, end - 120.0, end, seed=k)
-            np.testing.assert_array_equal(
-                cached.feature_tensor(end - 480.0, end, num_steps=32),
-                plain.feature_tensor(end - 480.0, end, num_steps=32),
-            )
+            _feed_interval(manager, end - 120.0, end, seed=k)
+            check_feature_tensor(manager, end - 480.0, end, num_steps=32)
+        assert len(manager.twin(0).store(CHANNEL_CONDITION)) == 40
 
-    def test_first_sample_into_empty_store_backfills_cached_rows(self):
-        """ZOH backfill: a store empty at snapshot time invalidates fully.
-
-        An empty store resamples to zeros; its very first sample then
-        backfills every grid row *before* its timestamp via the
-        clamp-to-first-sample rule, so nothing cached for that attribute may
-        be reused — not even rows older than the new sample.
-        """
-        cached = _filled_manager(num_users=1, cache=True)
-        plain = _filled_manager(num_users=1, cache=False)
+    def test_first_sample_into_empty_store_backfills(self, check_feature_tensor):
+        """ZOH backfill: an empty store resamples to zeros; its very first
+        sample then fills every grid row *before* its timestamp too (the
+        clamp-to-first-sample rule)."""
+        manager = _filled_manager(num_users=1)
         uid = 0
-        for manager in (cached, plain):
-            # Channel data only; the other stores stay empty (zeros).
-            times = np.arange(0.0, 480.0, 5.0)
-            manager.twin(uid).record_batch(
-                CHANNEL_CONDITION, times, np.full((times.size, 1), 20.0)
-            )
-        cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        for manager in (cached, plain):
-            # First-ever preference sample lands after the whole window.
-            manager.twin(uid).record(PREFERENCE, 500.0, [0.7, 0.1, 0.1, 0.1])
-        np.testing.assert_array_equal(
-            cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32),
-            plain.user_feature_matrix(uid, 0.0, 480.0, num_steps=32),
+        # Channel data only; the other stores stay empty (zeros).
+        times = np.arange(0.0, 480.0, 5.0)
+        manager.twin(uid).record_batch(
+            CHANNEL_CONDITION, times, np.full((times.size, 1), 20.0)
         )
-        # Same for the sliding-overlap path with a mid-window first sample.
-        for manager in (cached, plain):
-            manager.twin(uid).record(LOCATION, 530.0, [5.0, 6.0])
-        np.testing.assert_array_equal(
-            cached.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-            plain.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-        )
+        check_feature_tensor(manager, 0.0, 480.0, num_steps=32)
+        # First-ever preference sample lands after the whole window.
+        manager.twin(uid).record(PREFERENCE, 500.0, [0.7, 0.1, 0.1, 0.1])
+        tensor = check_feature_tensor(manager, 0.0, 480.0, num_steps=32)
+        np.testing.assert_array_equal(tensor[0, :, -4:], np.tile([0.7, 0.1, 0.1, 0.1], (32, 1)))
+        # Same for a sliding window with a mid-window first sample.
+        manager.twin(uid).record(LOCATION, 530.0, [5.0, 6.0])
+        check_feature_tensor(manager, 120.0, 600.0, num_steps=32)
 
-    def test_remove_and_reregister_invalidates(self):
-        cached, _ = _twin_pair()
-        uid = cached.user_ids()[0]
-        stale = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32).copy()
-        cached.remove_user(uid)
-        cached.register_user(uid)
-        fresh = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        # The new twin is empty, so the matrix must be all zeros — any reuse
-        # of the removed user's rows would leak the old data.
+    def test_remove_and_reregister_invalidates(self, check_feature_tensor):
+        manager = _fed_manager()
+        uid = manager.user_ids()[0]
+        stale = check_feature_tensor(manager, 0.0, 480.0, num_steps=32, user_ids=[uid])
+        manager.remove_user(uid)
+        manager.register_user(uid)
+        fresh = check_feature_tensor(manager, 0.0, 480.0, num_steps=32, user_ids=[uid])
+        # The new twin is empty, so the matrix must be all zeros — anything
+        # else would leak the removed user's data.
         np.testing.assert_array_equal(fresh, np.zeros_like(stale))
         assert not np.array_equal(stale, fresh)
-
-    def test_store_counters(self):
-        store = TimeSeriesStore(dimension=1, max_samples=3)
-        assert store.append_count == 0 and store.discard_count == 0
-        store.append_batch([0.0, 1.0], [[1.0], [2.0]])
-        snapshot = store.append_count
-        assert store.first_timestamp_appended_after(snapshot) is None
-        store.append(2.0, [3.0])
-        store.append(3.0, [4.0])  # evicts the t=0 sample
-        assert store.append_count == 4 and store.discard_count == 1
-        assert store.first_timestamp_appended_after(snapshot) == 2.0
-        store.clear()
-        assert store.discard_count == 4
-        with pytest.raises(ValueError):
-            # The samples newer than the snapshot were discarded by clear().
-            store.append(9.0, [1.0])
-            store.first_timestamp_appended_after(snapshot)
 
 
 # ------------------------------------------------------------ batched engine

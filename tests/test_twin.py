@@ -274,7 +274,7 @@ class TestDigitalTwinManager:
 
 
 class TestBatchedFeatureTensor:
-    """Cross-user batched resample == per-user path, bit for bit."""
+    """Cross-user batched resample == per-user ``feature_matrix``, bit for bit."""
 
     @staticmethod
     def _populated_manager(num_users=9, seed=0):
@@ -295,45 +295,26 @@ class TestBatchedFeatureTensor:
                 )
         return manager
 
-    def test_batched_equals_per_user_path(self):
+    def test_batched_equals_per_user_path(self, check_feature_tensor):
         manager = self._populated_manager()
         for window in [(0.0, 900.0), (100.0, 400.0), (850.0, 1200.0), (950.0, 1000.0)]:
-            per_user = manager.feature_tensor(*window, num_steps=32, batched=False)
-            batched = manager.feature_tensor(*window, num_steps=32, batched=True)
-            assert np.array_equal(per_user, batched)
+            check_feature_tensor(manager, *window, num_steps=32)
 
-    def test_batched_respects_user_and_attribute_order(self):
+    def test_batched_respects_user_and_attribute_order(self, check_feature_tensor):
         manager = self._populated_manager()
         order = [WATCHING_DURATION, PREFERENCE, CHANNEL_CONDITION, LOCATION]
         ids = [7, 0, 4, 2]
-        per_user = manager.feature_tensor(
-            50.0, 500.0, num_steps=17, attribute_order=order, user_ids=ids, batched=False
+        check_feature_tensor(
+            manager, 50.0, 500.0, num_steps=17, attribute_order=order, user_ids=ids
         )
-        batched = manager.feature_tensor(
-            50.0, 500.0, num_steps=17, attribute_order=order, user_ids=ids, batched=True
-        )
-        assert np.array_equal(per_user, batched)
 
-    def test_batched_equals_twin_feature_matrix(self):
+    def test_batched_equals_twin_feature_matrix(self, check_feature_tensor):
         manager = self._populated_manager(num_users=3, seed=5)
-        tensor = manager.feature_tensor(0.0, 300.0, num_steps=16, batched=True)
-        for row, uid in enumerate(manager.user_ids()):
-            direct = manager.twin(uid).feature_matrix(0.0, 300.0, num_steps=16)
-            assert np.array_equal(tensor[row], direct)
+        check_feature_tensor(manager, 0.0, 300.0, num_steps=16)
 
-    def test_default_resolution_tracks_cache_flag(self):
-        cached = self._populated_manager()
-        uncached = self._populated_manager()
-        uncached.feature_cache_enabled = False
-        a = cached.feature_tensor(0.0, 500.0, num_steps=8)
-        b = uncached.feature_tensor(0.0, 500.0, num_steps=8)
-        assert np.array_equal(a, b)
-        # The cache-backed path populated its cache; the batched one did not.
-        assert cached._feature_cache and not uncached._feature_cache
-
-    def test_batched_after_appends_sees_new_samples(self):
+    def test_batched_after_appends_sees_new_samples(self, check_feature_tensor):
         manager = self._populated_manager(num_users=4, seed=2)
-        before = manager.feature_tensor(0.0, 1200.0, num_steps=12, batched=True)
+        before = check_feature_tensor(manager, 0.0, 1200.0, num_steps=12)
         manager.twin(0).record(CHANNEL_CONDITION, 950.0, [99.0])
-        after = manager.feature_tensor(0.0, 1200.0, num_steps=12, batched=True)
+        after = check_feature_tensor(manager, 0.0, 1200.0, num_steps=12)
         assert not np.array_equal(before, after)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,32 @@ class TestStoreRoundTrip:
         restored = store_from_dict(store_to_dict(store))
         assert len(restored) == 0
         assert restored.dimension == 3
+
+
+class TestSnapshotValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_rejected(self, bad):
+        store = TimeSeriesStore(dimension=1)
+        store.append_batch([0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]])
+        data = store_to_dict(store)
+        data["timestamps"][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            store_from_dict(data)
+
+    def test_nan_in_snapshot_file_rejected(self, tmp_path):
+        # json writes and reads NaN by default, so a file can carry one.
+        data = manager_to_dict(TestManagerRoundTrip().make_manager())
+        data["twins"][0]["stores"][CHANNEL_CONDITION]["timestamps"][0] = float("nan")
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_manager(path)
+
+    def test_store_dimension_must_match_attribute(self):
+        data = twin_to_dict(make_twin())
+        data["stores"][CHANNEL_CONDITION] = store_to_dict(TimeSeriesStore(dimension=3))
+        with pytest.raises(ValueError, match="dimension"):
+            twin_from_dict(data)
 
 
 class TestTwinRoundTrip:
@@ -114,3 +142,34 @@ class TestManagerRoundTrip:
         assert len(restored.twin(uid).watch_records()) == len(
             manager.twin(uid).watch_records()
         )
+
+    def test_bounded_manager_keeps_its_ring_bound(self, tmp_path):
+        manager = DigitalTwinManager(
+            attributes=standard_attributes(num_categories=4), max_samples_per_attribute=4
+        )
+        for uid in range(2):
+            manager.register_user(uid).record_batch(
+                CHANNEL_CONDITION, np.arange(6.0), np.arange(6.0)[:, None] + uid
+            )
+        restored = load_manager(save_manager(manager, tmp_path / "bounded.json"))
+        assert restored.max_samples_per_attribute == 4
+        assert restored.register_user(7).store(CHANNEL_CONDITION).max_samples == 4
+        for twins in (manager, restored):
+            for uid in range(2):
+                twins.twin(uid).record_batch(
+                    CHANNEL_CONDITION, np.arange(6.0, 16.0), np.arange(10.0)[:, None]
+                )
+        for uid in range(2):
+            original = manager.twin(uid).store(CHANNEL_CONDITION)
+            rebuilt = restored.twin(uid).store(CHANNEL_CONDITION)
+            assert rebuilt.max_samples == original.max_samples == 4
+            assert len(rebuilt) == len(original) == 4
+            np.testing.assert_array_equal(rebuilt.timestamps(), original.timestamps())
+            np.testing.assert_array_equal(rebuilt.values(), original.values())
+
+    def test_snapshot_without_bound_loads_unbounded(self):
+        data = manager_to_dict(self.make_manager())
+        del data["max_samples_per_attribute"]
+        restored = manager_from_dict(data)
+        assert restored.max_samples_per_attribute is None
+        assert restored.twin(0).store(CHANNEL_CONDITION).max_samples is None
